@@ -154,7 +154,11 @@ def gen_serve(seed, out_dir, repo_root):
     drawn from a pool of 8 grids of 6 x 6 points (so the shared memo
     cache hits),
     8% /v1/import of the three WfCommons instances, bare or wrapped with
-    a system.
+    a system.  The shares and pool sizes are assumptions, not measured
+    traffic: no traffic record exists to derive them from, so they render
+    "mostly distinct roofline bodies, some repeats, some small sweeps from
+    a small pool, some imports".  The memo-cache hit ratio of the serve
+    workload follows from these choices.
     """
     rng = random.Random(f"serve-mixed/{seed}")
     bodies = []        # distinct request bodies, indexed by body id

@@ -50,10 +50,8 @@ namespace {
 using namespace wfr;
 using Clock = std::chrono::steady_clock;
 
-// Per-call timing of the first kSweepCalls grid points, and of the
-// stream_lines runs over the first kStreamPoints.
+// Per-call timing of the first kSweepCalls grid points.
 constexpr std::size_t kSweepCalls = 20000;
-constexpr std::size_t kStreamPoints = 40000;
 // Traced and untraced passes each, for the tracing overhead.
 constexpr int kOverheadPasses = 3;
 // Operations per stage whose spans go to the trace file (all calls are
@@ -240,26 +238,20 @@ void sweep_stage(const Options& o, Recorder& rec, StageResults& out) {
   }
 
   // The campaign path end to end, minus process and file I/O: stream the
-  // first kStreamPoints rows into a discarding sink at 1 job and at the
-  // workload's job count.
-  std::vector<exec::ParamAxis> head = axes;
-  const std::size_t rest = grid.size() / axes.front().values.size();
-  head.front().values.resize(
-      std::max<std::size_t>(1, std::min(axes.front().values.size(),
-                                        kStreamPoints / rest)));
-  const exec::SweepGrid stream_grid(system, workflow, head);
+  // whole grid into a discarding sink at 1 job and at the traced run's job
+  // count.
   auto stream = [&](int jobs, exec::SweepStats* stats) {
     exec::SweepRunner runner(exec::SweepOptions{.jobs = jobs});
     std::size_t bytes = 0;
     const Clock::time_point begin = Clock::now();
-    runner.stream_lines(stream_grid, {}, [&](std::size_t, std::string_view l) {
+    runner.stream_lines(grid, {}, [&](std::size_t, std::string_view l) {
       bytes += l.size();
     });
     const double seconds =
         std::chrono::duration<double>(Clock::now() - begin).count();
     if (bytes == 0) throw std::runtime_error("stream_lines emitted nothing");
     if (stats != nullptr) *stats = runner.stats();
-    return static_cast<double>(stream_grid.size()) / seconds;
+    return static_cast<double>(grid.size()) / seconds;
   };
   out.stream_1job_pps = stream(1, nullptr);
   out.stream_jobs_pps = stream(o.jobs, &out.campaign_cache);

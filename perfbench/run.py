@@ -33,14 +33,20 @@ WORK = os.path.join(ROOT, ".bench_work")
 WORKLOADS = ("sweep-campaign", "serve-mixed", "check-differential",
              "simulate-wide")
 NPROC = os.cpu_count() or 1
-# Fixed thread and connection counts, all within nproc.  `wfr sweep` and
-# `wfr check` run one worker: on a shared machine a single thread repeats
-# far better than two.  `wfr serve` runs 2 connection workers and 1 sweep
-# worker, driven by one client thread over up to 4 keep-alive connections
-# (so a worker always has a request queued).
+# Fixed thread and connection counts, all within nproc.  Every workload
+# runs one worker: on a shared machine a single thread repeats far better
+# than two (README.md, "Steadiness").  `wfr serve` runs 1 connection worker
+# and 1 sweep worker, driven by one client thread over 2 keep-alive
+# connections, so the worker always has a request queued.
 CLI_JOBS = 1
-SERVE_JOBS = min(2, NPROC)
-SERVE_CONNS = min(4, NPROC)
+SERVE_JOBS = 1
+SERVE_CONNS = min(2, NPROC)
+# Job count of the traced run's second stream_lines measurement: at the
+# workloads' 1 job its ratio to the 1-job figure would always read 1.
+STREAM_SCALING_JOBS = min(2, NPROC)
+# Seconds between the throwaway `wfr serve` launches that time the
+# server's cold set-up while the client runs.
+SERVE_SETUP_EVERY_S = 1.0
 
 
 def log(message):
@@ -115,21 +121,23 @@ def repeat_rounds(seconds, round_fn):
     return walls
 
 
-def round_figures(walls):
-    """(fastest, median) round wall time of a run, in seconds.  Every round
-    repeats the same work, and interference from other tenants of a shared
-    machine only ever adds time, so the fastest round tracks the program
-    and not its neighbours; it is the gated figure (README.md,
-    "Steadiness").  The median goes to the summary on stderr."""
-    return min(walls), statistics.median(walls)
+class ColdSetup:
+    """The program's cold set-up: fresh `wfr` processes on a trivial input,
+    each timed from launch to exit (process start, input parsing, exit).
+    Every launch is a new process, so none is warm.  A workload launches
+    one before each of its timed runs, so the launches spread over the
+    whole run, and `setup_s` is the fastest.  Fifteen launches back to back
+    all fall inside one spell of interference from other tenants: their
+    fastest spread 19-27 % (IQR/median) over ten runs."""
 
+    def __init__(self, args, out_path):
+        self.args, self.out_path = args, out_path
+        self.walls, self.ok = [], True
 
-def cold_setup(args, out_path):
-    """Wall time of the run's first `wfr` invocation, on a trivial input:
-    process start, input parsing and exit, with nothing measured warm.
-    Returns (seconds, ok)."""
-    wall, _, ok = run_timed(args, out_path)
-    return wall, ok
+    def launch(self):
+        wall, _, ok = run_timed(self.args, self.out_path)
+        self.walls.append(wall)
+        self.ok = self.ok and ok
 
 
 def with_units(values, section):
@@ -150,13 +158,14 @@ def sweep_campaign(bins, seed, seconds, work):
             "--jobs", str(CLI_JOBS)]
     flags = gen.sweep_param_flags(inputs["axes"])
     out_path = os.path.join(work, "sweep.ndjson")
-    setup_s, ok = cold_setup(base + flags[:1] + [flags[1].split(",")[0]],
-                             out_path)
+    setup = ColdSetup(base + flags[:1] + [flags[1].split(",")[0]],
+                      os.path.join(work, "setup.out"))
 
     points = refcheck.grid_size(inputs["axes"])
-    rss, digests = [], set()
+    rss, digests, ok = [], set(), True
 
     def one_round():
+        setup.launch()
         wall, peak, good = run_timed(base + flags, out_path)
         rss.append(peak)
         digests.add(file_digest(out_path))
@@ -170,6 +179,7 @@ def sweep_campaign(bins, seed, seconds, work):
         for line in f:
             if line.startswith("{"):
                 rows.append(json.loads(line))
+    ok = ok and setup.ok
     errors = [] if ok else ["wfr sweep exited non-zero"]
     if len(digests) != 1:
         errors.append(f"sweep: {len(digests)} different outputs for one grid")
@@ -179,7 +189,7 @@ def sweep_campaign(bins, seed, seconds, work):
     errors += refcheck.check_sweep_monotonic(rows, inputs["axes"])
     attempted = points * len(walls)
     return {"attempted": attempted, "failed": 0 if ok else attempted,
-            "errors": errors, "setup_s": setup_s, "walls": walls,
+            "errors": errors, "setup_s": min(setup.walls), "walls": walls,
             "work": points, "peak_rss_mb": max(rss), "op": "points"}
 
 
@@ -188,11 +198,12 @@ def check_differential(bins, seed, seconds, work):
     base = [bins["wfr"], "check", "--gen", "irregular", "--jobs",
             str(CLI_JOBS), "--base-seed", str(spec["base_seed"])]
     out_path = os.path.join(work, "check.txt")
-    setup_s, ok = cold_setup(base + ["--seeds", "1"], out_path)
+    setup = ColdSetup(base + ["--seeds", "1"], os.path.join(work, "setup.out"))
 
-    rss, digests, errors = [], set(), []
+    rss, digests, errors, ok = [], set(), [], True
 
     def one_round():
+        setup.launch()
         wall, peak, good = run_timed(base + ["--seeds", str(spec["seeds"])],
                                      out_path)
         rss.append(peak)
@@ -206,11 +217,12 @@ def check_differential(bins, seed, seconds, work):
         errors += refcheck.check_check_output(f.read(), spec["seeds"])
     if len(digests) != 1:
         errors.append(f"check: {len(digests)} different reports for one run")
+    ok = ok and setup.ok
     if not ok:
         errors.append("wfr check exited non-zero")
     attempted = spec["seeds"] * len(walls)
     return {"attempted": attempted, "failed": 0 if ok else attempted,
-            "errors": errors, "setup_s": setup_s, "walls": walls,
+            "errors": errors, "setup_s": min(setup.walls), "walls": walls,
             "work": spec["seeds"], "peak_rss_mb": max(rss), "op": "seeds"}
 
 
@@ -221,10 +233,10 @@ def simulate_wide(bins, seed, seconds, work):
     with open(warm_path, "w") as f:
         json.dump({"name": "warm", "tasks": inputs["dags"][0]["tasks"][:8]}, f)
     out_path = os.path.join(work, "run.txt")
-    setup_s, ok = cold_setup([bins["wfr"], "run", "--system", system,
-                              "--workflow", warm_path], out_path)
+    setup = ColdSetup([bins["wfr"], "run", "--system", system, "--workflow",
+                       warm_path], os.path.join(work, "setup.out"))
 
-    rss, tasks = [], 0
+    rss, tasks, ok = [], 0, True
     round_tasks = sum(len(dag["tasks"]) for dag in inputs["dags"])
     digests = {dag["name"]: set() for dag in inputs["dags"]}
     dag_walls = {dag["name"]: [] for dag in inputs["dags"]}
@@ -234,6 +246,7 @@ def simulate_wide(bins, seed, seconds, work):
         nonlocal tasks, ok
         wall_sum = 0.0
         for dag in inputs["dags"]:
+            setup.launch()
             wall, peak, good = run_timed(
                 [bins["wfr"], "run", "--system", system, "--workflow",
                  dag["path"]], out_path)
@@ -262,13 +275,14 @@ def simulate_wide(bins, seed, seconds, work):
             continue
         with open(trace_path) as f:
             errors += refcheck.check_wide(dag, json.load(f), inputs["system"])
+    ok = ok and setup.ok
     if not ok:
         errors.append("wfr run exited non-zero")
     # The fastest round is assembled per DAG: each `wfr run` is a repeat
     # of its own, so each DAG's fastest run counts.
     fastest = sum(min(w) for w in dag_walls.values())
     return {"attempted": tasks, "failed": 0 if ok else tasks,
-            "errors": errors, "setup_s": setup_s, "walls": walls,
+            "errors": errors, "setup_s": min(setup.walls), "walls": walls,
             "fastest": fastest, "work": round_tasks,
             "peak_rss_mb": max(rss), "op": "tasks"}
 
@@ -284,12 +298,13 @@ def wait_healthy(port, deadline_s=30.0):
                     return
         except OSError:
             pass
-        time.sleep(0.002)
+        time.sleep(0.0002)
     raise SystemExit("wfr serve never became healthy")
 
 
-def serve_mixed(bins, seed, seconds, work):
-    inputs = gen.gen_serve(seed, work, ROOT)
+def start_server(bins):
+    """Launches `wfr serve` on a free port; returns (process, port, seconds
+    from launch to its first 200 on /healthz)."""
     server = Process([bins["wfr"], "serve", "--port", "0", "--jobs",
                       str(SERVE_JOBS), "--sweep-jobs", "1"], subprocess.PIPE)
     try:
@@ -299,20 +314,56 @@ def serve_mixed(bins, seed, seconds, work):
         port = int(banner.split("listening on http://")[1].split()[0]
                    .rsplit(":", 1)[1])
         wait_healthy(port)
-        setup_s = time.perf_counter() - server.started
+    except BaseException:
+        server.stop()
+        raise
+    return server, port, time.perf_counter() - server.started
 
+
+def stop_server(server):
+    """SIGTERM, then wait; True when the server drained and exited 0."""
+    server.popen.send_signal(signal.SIGTERM)
+    drained = server.wait() == 0
+    server.popen.stdout.read()
+    return drained
+
+
+def serve_mixed(bins, seed, seconds, work):
+    inputs = gen.gen_serve(seed, work, ROOT)
+    server, port, setup = start_server(bins)
+    setups, drained = [setup], True
+    try:
         responses_path = os.path.join(work, "responses.txt")
-        client = subprocess.run(
+        client = subprocess.Popen(
             [bins["client"], "--port", str(port), "--schedule", inputs["path"],
              "--conns", str(SERVE_CONNS), "--seconds", str(seconds),
-             "--responses", responses_path],
-            stdout=subprocess.PIPE, timeout=seconds + 120)
+             "--responses", responses_path], stdout=subprocess.PIPE)
+        try:
+            # Cold set-up as for the CLI workloads: a throwaway server
+            # every SERVE_SETUP_EVERY_S while the client runs, so the
+            # launches spread over the run; `setup_s` is the fastest.
+            deadline = time.perf_counter() + seconds + 120
+            while True:
+                try:
+                    out, _ = client.communicate(timeout=SERVE_SETUP_EVERY_S)
+                    break
+                except subprocess.TimeoutExpired:
+                    if time.perf_counter() > deadline:
+                        raise SystemExit("perfbench_client did not finish")
+                spare, _, setup = start_server(bins)
+                try:
+                    setups.append(setup)
+                    drained = stop_server(spare) and drained
+                finally:
+                    spare.stop()
+        finally:
+            if client.poll() is None:
+                client.kill()
+                client.wait()
         if client.returncode != 0:
             raise SystemExit("perfbench_client failed")
-        stats = json.loads(client.stdout.decode().strip().splitlines()[-1])
-        server.popen.send_signal(signal.SIGTERM)
-        drained = server.wait() == 0
-        server.popen.stdout.read()
+        stats = json.loads(out.decode().strip().splitlines()[-1])
+        drained = stop_server(server) and drained
     finally:
         server.stop()
 
@@ -327,7 +378,7 @@ def serve_mixed(bins, seed, seconds, work):
             errors += refcheck.check_response(body["endpoint"], body["body"],
                                               text)
     return {"attempted": stats["attempted"], "failed": stats["failed"],
-            "errors": errors, "setup_s": setup_s, "stats": stats,
+            "errors": errors, "setup_s": min(setups), "stats": stats,
             "peak_rss_mb": server.rss_mb, "op": "requests"}
 
 
@@ -360,7 +411,7 @@ def traced_run(bins, seed, work, workload):
     result = subprocess.run(
         [bins["layers"], "--dir", work, "--check-base-seed",
          str(check["base_seed"]), "--check-seeds", str(check["seeds"]),
-         "--jobs", str(SERVE_JOBS),
+         "--jobs", str(STREAM_SCALING_JOBS),
          "--trace-out", trace_path], stdout=subprocess.PIPE, timeout=170)
     if result.returncode != 0:
         raise SystemExit("perfbench_layers failed")
@@ -391,8 +442,12 @@ def end_to_end(workload, r):
                  f"{st['p50_ms']:.4f}/{st['p90_ms']:.4f}/{st['p99_ms']:.4f} ms")
         rounds = st["rounds"]
     else:
-        lo, med = round_figures(r["walls"])
-        lo = r.get("fastest", lo)
+        # Every round repeats the same work, and interference from other
+        # tenants of a shared machine only ever adds time, so the fastest
+        # round tracks the program and not its neighbours; it is the gated
+        # figure (README.md, "Steadiness").  The median goes to stderr.
+        lo = r.get("fastest", min(r["walls"]))
+        med = statistics.median(r["walls"])
         fast = {"throughput": r["work"] / lo, "latency_ms": 1000 * lo}
         mid = {"throughput": r["work"] / med, "latency_ms": 1000 * med}
         extra, rounds = "", len(r["walls"])
